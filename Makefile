@@ -2,11 +2,11 @@
 # targets just name the common invocations (CI runs the same ones).
 
 GO ?= go
-PR ?= 10
+PR ?= 12
 # DIFF_BASE is the previous snapshot bench-diff compares against.
 DIFF_BASE ?= BENCH_PR9.json
 
-.PHONY: all build vet test test-short test-race bench bench-smoke bench-diff loadtest crashtest
+.PHONY: all build vet test test-short test-race bench bench-smoke bench-diff perfbench-smoke loadtest crashtest
 
 all: vet build test
 
@@ -35,6 +35,12 @@ bench:
 # bench-smoke is the CI variant: every benchmark once, no snapshot file.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# perfbench-smoke vets and tests the nested perfbench module (the
+# repository benchmark, see BENCHMARK.json). The root `go build ./...`
+# does not compile it, so API changes it depends on surface here.
+perfbench-smoke:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # bench-diff records BENCH_PR$(PR).json and prints the before/after
 # table against DIFF_BASE (ns/op, speedup, allocs).

@@ -41,7 +41,7 @@ func TestIngestShedsWhenGateFull(t *testing.T) {
 	rep.Epoch, rep.Seq = 1, 1
 
 	// In-process face: overload error, typed.
-	if _, err := s.Ingest(rep); err == nil {
+	if _, err := ingestOne(s, rep); err == nil {
 		t.Fatal("full gate should shed Ingest")
 	} else if after, ok := overload.IsOverload(err); !ok || after != 3*time.Second {
 		t.Fatalf("Ingest shed err = %v (IsOverload=%v, after=%v), want typed 3s overload", err, ok, after)
@@ -76,7 +76,7 @@ func TestIngestShedsWhenGateFull(t *testing.T) {
 	// reached the store, so the retransmit ingests as the first delivery.
 	relInflight()
 	<-queued
-	if _, err := s.Ingest(rep); err != nil {
+	if _, err := ingestOne(s, rep); err != nil {
 		t.Fatalf("retransmit after shed: %v", err)
 	}
 	if occ := s.Occupancy(); len(occ.Devices) != 1 {
@@ -91,7 +91,7 @@ func TestIngestShedsWhenGateFull(t *testing.T) {
 // a cleared gate behave exactly as before the gate existed.
 func TestNoGateAdmitsEverything(t *testing.T) {
 	s, b := newTestServer(t)
-	if _, err := s.Ingest(reportNear(b, "p", 0, 1)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 0, 1)); err != nil {
 		t.Fatalf("ungated ingest: %v", err)
 	}
 	s.SetAdmission(overload.Config{MaxInflight: 2})
@@ -99,7 +99,7 @@ func TestNoGateAdmitsEverything(t *testing.T) {
 	if s.gate != nil {
 		t.Fatal("zero config should clear the gate")
 	}
-	if _, err := s.Ingest(reportNear(b, "p", 0, 2)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 0, 2)); err != nil {
 		t.Fatalf("ingest after clearing gate: %v", err)
 	}
 }

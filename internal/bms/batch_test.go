@@ -27,7 +27,7 @@ func TestIngestBatchMatchesSequentialIngest(t *testing.T) {
 	single, _ := newTestServer(t)
 	var wantRooms []string
 	for _, r := range reports {
-		room, err := single.Ingest(r)
+		room, err := ingestOne(single, r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -212,7 +212,7 @@ func TestConcurrentIngest(t *testing.T) {
 				return
 			}
 			for i := 0; i < perDevice; i++ {
-				if _, err := s.Ingest(reportNear(b, name, d%len(b.Beacons), float64(i))); err != nil {
+				if _, err := ingestOne(s, reportNear(b, name, d%len(b.Beacons), float64(i))); err != nil {
 					t.Error(err)
 					return
 				}

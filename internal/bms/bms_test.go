@@ -32,6 +32,19 @@ func newTestServer(t *testing.T) (*Server, *building.Building) {
 	return s, b
 }
 
+// ingestAt ingests r as a batch of one under gateway epoch gwEpoch —
+// the JSON single face minus HTTP — and returns its room.
+func ingestAt(s *Server, gwEpoch uint64, r transport.Report) (string, error) {
+	rooms, err := s.ingestReports(gwEpoch, []transport.Report{r})
+	if err != nil {
+		return "", err
+	}
+	return rooms[0], nil
+}
+
+// ingestOne is ingestAt unfenced.
+func ingestOne(s *Server, r transport.Report) (string, error) { return ingestAt(s, 0, r) }
+
 // reportNear fabricates a report placing the device beside one beacon.
 func reportNear(b *building.Building, device string, beaconIdx int, atSeconds float64) transport.Report {
 	rep := transport.Report{Device: device, AtSeconds: atSeconds}
@@ -74,7 +87,7 @@ func TestIngestClassifiesWithProximityByDefault(t *testing.T) {
 	if s.Classifier() != "proximity" {
 		t.Fatalf("default classifier = %s", s.Classifier())
 	}
-	room, err := s.Ingest(reportNear(b, "phone", 0, 1)) // beside kitchen beacon
+	room, err := ingestOne(s, reportNear(b, "phone", 0, 1)) // beside kitchen beacon
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +102,12 @@ func TestIngestClassifiesWithProximityByDefault(t *testing.T) {
 
 func TestIngestErrors(t *testing.T) {
 	s, b := newTestServer(t)
-	if _, err := s.Ingest(transport.Report{}); err == nil {
+	if _, err := ingestOne(s, transport.Report{}); err == nil {
 		t.Error("missing device should fail")
 	}
 	bad := reportNear(b, "p", 0, 1)
 	bad.Beacons[0].ID = "garbage"
-	if _, err := s.Ingest(bad); err == nil {
+	if _, err := ingestOne(s, bad); err == nil {
 		t.Error("bad beacon id should fail")
 	}
 }
@@ -160,7 +173,7 @@ func TestTrainSwitchesToSceneSVM(t *testing.T) {
 		t.Fatalf("classifier after training = %s", s.Classifier())
 	}
 	// Ingest near the study beacon: the SVM should place it correctly.
-	room, err := s.Ingest(reportNear(b, "phone", 2, 5))
+	room, err := ingestOne(s, reportNear(b, "phone", 2, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,8 +414,8 @@ func TestCompareEnergyIgnoresOutside(t *testing.T) {
 
 func TestEventsExposed(t *testing.T) {
 	s, b := newTestServer(t)
-	_, _ = s.Ingest(reportNear(b, "p", 0, 1))
-	_, _ = s.Ingest(reportNear(b, "p", 1, 2))
+	_, _ = ingestOne(s, reportNear(b, "p", 0, 1))
+	_, _ = ingestOne(s, reportNear(b, "p", 1, 2))
 	events := s.Events()
 	if len(events) != 3 { // enter kitchen, exit kitchen, enter living
 		t.Fatalf("events = %d: %+v", len(events), events)

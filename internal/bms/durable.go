@@ -1,18 +1,20 @@
 // Durability: the BMS side of the write-ahead log. The store's WAL
 // carries opaque payloads; this file defines what those payloads are —
-// compact binary records for observation batches (the hot path), JSON
-// records for device installs/evicts, TTL expiries, model snapshots
-// and fingerprints — plus the compacting
-// snapshot of the server's full state and the boot-time recovery that
-// replays snapshot + log tail back through the normal mutation paths.
+// observation records (the hot path: the received wire payload plus
+// the predicted rooms), JSON records for device installs/evicts, TTL
+// expiries, model snapshots, fingerprints and leases — plus the
+// compacting snapshot of the server's full state and the boot-time
+// recovery that replays snapshot + log tail back through the normal
+// mutation paths.
 //
 // Every durable mutation is log-then-apply: the record reaches the WAL
 // (and, per fsync policy, the disk) before the in-memory state moves,
 // under one wal.Begin guard so compaction can never cut a snapshot
 // between a record's append and its apply. Replay is idempotent
-// because observation records ride the same (Epoch, Seq) freshness
-// marks as live ingest: records the pre-crash process had already
-// committed replay as duplicates of themselves in per-device order.
+// because observation records go back through apply and ride the same
+// (Epoch, Seq) freshness marks as live ingest: records the pre-crash
+// process had already committed replay as duplicates of themselves in
+// per-device order.
 //
 // Observation records carry the room predicted at ingest time, so
 // replay reproduces the pre-crash tracker state exactly even if the
@@ -24,9 +26,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -38,6 +40,7 @@ import (
 	"occusim/internal/occupancy"
 	"occusim/internal/store"
 	"occusim/internal/svm"
+	"occusim/internal/wire"
 )
 
 // DefaultCompactThreshold triggers a background compaction once the
@@ -151,7 +154,6 @@ func (s *Server) maybeCompact() {
 
 // Record type tags.
 const (
-	recObs     = "obs"     // striped: an observation run (legacy JSON form; new records are binary)
 	recInstall = "install" // striped: a migrated device's state installed
 	recEvict   = "evict"   // striped: a device's state evicted (migration)
 	recExpire  = "expire"  // striped: TTL sweep expired these devices
@@ -163,14 +165,13 @@ const (
 // walRecord is the JSON envelope of every WAL payload. Field presence
 // follows T.
 type walRecord struct {
-	T       string          `json:"t"`
-	Reports []obsRecJSON    `json:"reports,omitempty"`
-	State   *DeviceState    `json:"state,omitempty"`
-	Device  string          `json:"device,omitempty"`
-	Devices []string        `json:"devices,omitempty"`
-	Snap    *ModelSnapshot  `json:"snap,omitempty"`
-	FP      *fpRecJSON      `json:"fp,omitempty"`
-	Lease   *leaseRecJSON   `json:"lease,omitempty"`
+	T       string         `json:"t"`
+	State   *DeviceState   `json:"state,omitempty"`
+	Device  string         `json:"device,omitempty"`
+	Devices []string       `json:"devices,omitempty"`
+	Snap    *ModelSnapshot `json:"snap,omitempty"`
+	FP      *fpRecJSON     `json:"fp,omitempty"`
+	Lease   *leaseRecJSON  `json:"lease,omitempty"`
 }
 
 // leaseRecJSON is a gateway leadership grant on disk — the cold meta
@@ -181,16 +182,14 @@ type leaseRecJSON struct {
 	Holder string `json:"holder,omitempty"`
 }
 
-// obsRecJSON is one observation on disk: the store form plus the room
-// predicted at ingest time (absent inside snapshots, where observations
-// are retained telemetry, not tracker input). Times are exact integer
-// nanoseconds — recovery must be byte-identical, not approximately so.
+// obsRecJSON is one retained observation inside a snapshot. Times are
+// exact integer nanoseconds — recovery must be byte-identical, not
+// approximately so.
 type obsRecJSON struct {
 	Device  string          `json:"d"`
 	AtNanos int64           `json:"at"`
 	Epoch   uint64          `json:"e,omitempty"`
 	Seq     uint64          `json:"s,omitempty"`
-	Room    string          `json:"r,omitempty"`
 	Beacons []beaconRecJSON `json:"b,omitempty"`
 }
 
@@ -206,13 +205,12 @@ type fpRecJSON struct {
 	Distances map[string]float64 `json:"distances"`
 }
 
-func encodeObservation(o store.Observation, room string) obsRecJSON {
+func encodeObservation(o store.Observation) obsRecJSON {
 	rec := obsRecJSON{
 		Device:  o.Device,
 		AtNanos: int64(o.At),
 		Epoch:   o.Epoch,
 		Seq:     o.Seq,
-		Room:    room,
 	}
 	for _, b := range o.Beacons {
 		rec.Beacons = append(rec.Beacons, beaconRecJSON{
@@ -242,18 +240,23 @@ func (s *Server) decodeObservation(rec obsRecJSON) (store.Observation, error) {
 	return o, nil
 }
 
-// logObservations appends one record per run of same-stripe
-// observations — the same grouping AddObservationBatch locks by, so a
-// batch costs one append (and under FsyncBatch one fsync) per touched
-// stripe, not per report. The caller holds the Begin guard.
-func (s *Server) logObservations(obs []store.Observation, rooms []string) error {
-	for i := 0; i < len(obs); {
-		idx := store.StripeFor(obs[i].Device)
+// logObservations appends one record per run of same-stripe reports
+// — the same grouping AddObservationBatch locks by, so a batch costs
+// one append (and under FsyncBatch one fsync) per touched stripe, not
+// per report. A record never spans stripes: replay goes stripe by
+// stripe, and per-device order holds only within one. The caller holds
+// the Begin guard.
+func (s *Server) logObservations(b *wire.Batch, rooms []string) error {
+	buf := wire.GetBuf()
+	defer wire.PutBuf(buf)
+	for i := 0; i < b.Len(); {
+		idx := store.StripeFor(b.Devices[i])
 		j := i + 1
-		for j < len(obs) && store.StripeFor(obs[j].Device) == idx {
+		for j < b.Len() && store.StripeFor(b.Devices[j]) == idx {
 			j++
 		}
-		if err := s.dur.wal.Append(idx, appendObsBinary(nil, obs[i:j], rooms[i:j])); err != nil {
+		*buf = appendObsRecord((*buf)[:0], b, i, j, rooms)
+		if err := s.dur.wal.Append(idx, *buf); err != nil {
 			return err
 		}
 		i = j
@@ -261,150 +264,80 @@ func (s *Server) logObservations(obs []store.Observation, rooms []string) error 
 	return nil
 }
 
-// --- binary observation records ---------------------------------------
+// --- observation records ----------------------------------------------
 //
-// Observation records are the WAL's hot path — every ingested batch
-// writes one per touched stripe, and under FsyncBatch each such write
-// is also an fsync boundary — so unlike the cold record types they are
-// encoded in a compact binary form rather than JSON: no reflective
-// marshal, no float formatting, no beacon-ID stringification. The two
-// forms share the log: JSON records start with '{', binary observation
-// records with binObsTag, and replayRecord dispatches on the first
-// byte. Little-endian fixed-width for beacon identities and distances,
-// uvarint for lengths and counts.
+// An observation record is the WAL's hot path — every ingested batch
+// writes one per touched stripe — so it is binary, and its body is the
+// wire codec's own batch payload: reports are logged in the bytes they
+// arrived in, with no third codec. The layout:
+//
+//	[0]      obsTag
+//	[1:5]    u32 LE length of the wire payload
+//	[5:…]    wire payload (wire.AppendPayload) of one same-stripe run
+//	[…]      per report, a uvarint-length predicted room
+//
+// JSON records start with '{', observation records with obsTag, and
+// replayRecord dispatches on the first byte.
 
-// binObsTag is the first byte of a binary observation record. It can
-// never open a JSON record ('{').
-const binObsTag = 0x01
+// obsTag is the first byte of an observation record. It can never open
+// a JSON record ('{').
+const obsTag = 0x02
 
-// appendObsBinary encodes one observation run (with the rooms predicted
-// at ingest time) into the binary record form.
-func appendObsBinary(buf []byte, obs []store.Observation, rooms []string) []byte {
-	buf = append(buf, binObsTag)
-	buf = binary.AppendUvarint(buf, uint64(len(obs)))
-	for i := range obs {
-		o := &obs[i]
-		buf = binary.AppendUvarint(buf, uint64(len(o.Device)))
-		buf = append(buf, o.Device...)
-		buf = binary.AppendUvarint(buf, uint64(o.At))
-		buf = binary.AppendUvarint(buf, o.Epoch)
-		buf = binary.AppendUvarint(buf, o.Seq)
-		buf = binary.AppendUvarint(buf, uint64(len(rooms[i])))
-		buf = append(buf, rooms[i]...)
-		buf = binary.AppendUvarint(buf, uint64(len(o.Beacons)))
-		for _, b := range o.Beacons {
-			buf = append(buf, b.ID.UUID[:]...)
-			buf = binary.LittleEndian.AppendUint16(buf, b.ID.Major)
-			buf = binary.LittleEndian.AppendUint16(buf, b.ID.Minor)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.Distance))
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(b.RSSI))
-		}
+// legacyObsTag opened the observation record of builds before the wire
+// payload became the record body. Replay refuses it (see errPreWireLog).
+const legacyObsTag = 0x01
+
+// errPreWireLog rejects a log tail holding observation records in a
+// form this build no longer reads. A graceful Close compacts to a
+// snapshot (whose format is unchanged) and truncates the logs, so the
+// upgrade path is a drain under the old binary first.
+var errPreWireLog = errors.New("bms: wal replay: the log tail holds observation records of an older format; " +
+	"drain the shard with the previous binary (a graceful shutdown compacts and truncates the log) before upgrading")
+
+// appendObsRecord encodes reports [from, to) of b, with their rooms,
+// as one observation record.
+func appendObsRecord(dst []byte, b *wire.Batch, from, to int, rooms []string) []byte {
+	dst = append(dst, obsTag, 0, 0, 0, 0)
+	head := len(dst)
+	dst = wire.AppendPayload(dst, b, from, to)
+	binary.LittleEndian.PutUint32(dst[head-4:head], uint32(len(dst)-head))
+	for _, room := range rooms[from:to] {
+		dst = binary.AppendUvarint(dst, uint64(len(room)))
+		dst = append(dst, room...)
 	}
-	return buf
+	return dst
 }
 
-// errShortObsRecord reports a binary observation record whose declared
-// contents outrun the payload. The frame checksum already guards
-// against corruption, so this can only be an encoder/decoder bug — but
-// it must still surface as an error, never a panic.
-var errShortObsRecord = fmt.Errorf("bms: wal replay: truncated binary observation record")
-
-type binReader struct{ buf []byte }
-
-func (r *binReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		return 0, errShortObsRecord
+// decodeObsRecord parses an observation record into b (Reset first)
+// and returns the rooms logged with its reports. The frame checksum
+// already screens disk corruption, so a malformed record means an
+// encoder/decoder bug — it must still error, never panic.
+func decodeObsRecord(rec []byte, b *wire.Batch) ([]string, error) {
+	if len(rec) < 5 || rec[0] != obsTag {
+		return nil, fmt.Errorf("bms: wal replay: short observation record")
 	}
-	r.buf = r.buf[n:]
-	return v, nil
-}
-
-func (r *binReader) bytes(n int) ([]byte, error) {
-	if n < 0 || n > len(r.buf) {
-		return nil, errShortObsRecord
+	n := binary.LittleEndian.Uint32(rec[1:5])
+	rest := rec[5:]
+	if uint64(n) > uint64(len(rest)) {
+		return nil, fmt.Errorf("bms: wal replay: observation payload length %d exceeds record", n)
 	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b, nil
-}
-
-// decodeObsBinary parses a binary observation record back into the
-// observations and their ingest-time room predictions.
-func decodeObsBinary(payload []byte) ([]store.Observation, []string, error) {
-	r := &binReader{buf: payload[1:]} // caller checked the tag
-	n, err := r.uvarint()
-	if err != nil {
-		return nil, nil, err
+	if err := wire.DecodePayload(rest[:n], b); err != nil {
+		return nil, fmt.Errorf("bms: wal replay: %w", err)
 	}
-	const maxObsPerRecord = 1 << 20 // guard the allocation below
-	if n > maxObsPerRecord {
-		return nil, nil, fmt.Errorf("bms: wal replay: observation record declares %d reports", n)
+	rest = rest[n:]
+	rooms := make([]string, b.Len())
+	for i := range rooms {
+		l, k := binary.Uvarint(rest)
+		if k <= 0 || l > uint64(len(rest)-k) {
+			return nil, fmt.Errorf("bms: wal replay: observation record truncated at room %d", i)
+		}
+		rooms[i] = string(rest[k : k+int(l)])
+		rest = rest[k+int(l):]
 	}
-	obs := make([]store.Observation, 0, n)
-	rooms := make([]string, 0, n)
-	for ; n > 0; n-- {
-		var o store.Observation
-		dn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		dev, err := r.bytes(int(dn))
-		if err != nil {
-			return nil, nil, err
-		}
-		o.Device = string(dev)
-		at, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		o.At = time.Duration(at)
-		if o.Epoch, err = r.uvarint(); err != nil {
-			return nil, nil, err
-		}
-		if o.Seq, err = r.uvarint(); err != nil {
-			return nil, nil, err
-		}
-		rn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		room, err := r.bytes(int(rn))
-		if err != nil {
-			return nil, nil, err
-		}
-		bn, err := r.uvarint()
-		if err != nil {
-			return nil, nil, err
-		}
-		const beaconWire = 16 + 2 + 2 + 8 + 8
-		// Bound the count by the bytes actually present BEFORE any
-		// arithmetic on it: a huge declared count would overflow the
-		// int(bn)*beaconWire below (wrapping past the bytes check) and
-		// panic the make — a record must error, never crash replay.
-		if bn > uint64(len(r.buf))/beaconWire {
-			return nil, nil, errShortObsRecord
-		}
-		raw, err := r.bytes(int(bn) * beaconWire)
-		if err != nil {
-			return nil, nil, err
-		}
-		if bn > 0 {
-			o.Beacons = make([]store.BeaconDistance, bn)
-			for k := range o.Beacons {
-				w := raw[k*beaconWire:]
-				b := &o.Beacons[k]
-				copy(b.ID.UUID[:], w[:16])
-				b.ID.Major = binary.LittleEndian.Uint16(w[16:18])
-				b.ID.Minor = binary.LittleEndian.Uint16(w[18:20])
-				b.Distance = math.Float64frombits(binary.LittleEndian.Uint64(w[20:28]))
-				b.RSSI = math.Float64frombits(binary.LittleEndian.Uint64(w[28:36]))
-			}
-		}
-		obs = append(obs, o)
-		rooms = append(rooms, string(room))
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("bms: wal replay: %d trailing bytes after observation record", len(rest))
 	}
-	return obs, rooms, nil
+	return rooms, nil
 }
 
 // logStriped appends one non-observation striped record for a device.
@@ -446,35 +379,37 @@ func (s *Server) recover(w *store.WAL) error {
 }
 
 // replayRecord applies one recovered WAL record through the normal
-// mutation paths. Observation records decide freshness against the
-// recovered marks exactly as live ingest does, which is what makes a
-// log holding duplicates (every accepted report is logged, fresh or
-// not) replay to the committed state.
+// mutation paths. Observation records go through apply with their
+// logged rooms, deciding freshness against the recovered marks exactly
+// as live ingest does, which is what makes a log holding duplicates
+// (every accepted report is logged, fresh or not) replay to the
+// committed state. Replay runs before the server is durable,
+// instrumented or gated, so apply neither logs nor sheds nor counts.
 func (s *Server) replayRecord(payload []byte) error {
-	if len(payload) > 0 && payload[0] == binObsTag {
-		obs, rooms, err := decodeObsBinary(payload)
-		if err != nil {
-			return err
+	if len(payload) > 0 {
+		switch payload[0] {
+		case obsTag:
+			b := wire.GetBatch()
+			defer wire.PutBatch(b)
+			rooms, err := decodeObsRecord(payload, b)
+			if err != nil {
+				return err
+			}
+			if _, err := s.apply(0, b, rooms); err != nil {
+				return fmt.Errorf("bms: wal replay: %w", err)
+			}
+			return nil
+		case legacyObsTag:
+			return errPreWireLog
 		}
-		return s.applyObsReplay(obs, rooms)
 	}
 	var rec walRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
 		return fmt.Errorf("bms: wal decode: %w", err)
 	}
 	switch rec.T {
-	case recObs:
-		obs := make([]store.Observation, len(rec.Reports))
-		rooms := make([]string, len(rec.Reports))
-		for i, r := range rec.Reports {
-			o, err := s.decodeObservation(r)
-			if err != nil {
-				return fmt.Errorf("bms: wal replay: %w", err)
-			}
-			obs[i] = o
-			rooms[i] = r.Room
-		}
-		return s.applyObsReplay(obs, rooms)
+	case "obs": // the JSON observation record of the oldest builds
+		return errPreWireLog
 	case recInstall:
 		if rec.State == nil {
 			return fmt.Errorf("bms: wal replay: install record without state")
@@ -528,25 +463,6 @@ func (s *Server) replayRecord(payload []byte) error {
 	default:
 		return fmt.Errorf("bms: wal replay: unknown record type %q", rec.T)
 	}
-	return nil
-}
-
-// applyObsReplay feeds a recovered observation run through the normal
-// ingest mutations: the store decides freshness against the recovered
-// (Epoch, Seq) marks exactly as live ingest would, and only fresh
-// observations reach the tracker with their recorded rooms.
-func (s *Server) applyObsReplay(obs []store.Observation, rooms []string) error {
-	fresh, err := s.st.AddObservationBatch(obs)
-	if err != nil {
-		return fmt.Errorf("bms: wal replay: %w", err)
-	}
-	live := make([]occupancy.Classification, 0, len(obs))
-	for i := range obs {
-		if fresh[i] {
-			live = append(live, occupancy.Classification{At: obs[i].At, Device: obs[i].Device, Room: rooms[i]})
-		}
-	}
-	s.tracker.ObserveBatch(live)
 	return nil
 }
 
@@ -646,7 +562,7 @@ func (s *Server) writeDurableSnapshot(w io.Writer) error {
 			ds.Tracker = &tr
 		}
 		for _, o := range s.st.History(device) {
-			ds.Observations = append(ds.Observations, encodeObservation(o, ""))
+			ds.Observations = append(ds.Observations, encodeObservation(o))
 		}
 		snap.Devices = append(snap.Devices, ds)
 	}

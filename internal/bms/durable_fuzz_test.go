@@ -5,57 +5,64 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
-	"time"
 
 	"occusim/internal/ibeacon"
-	"occusim/internal/store"
+	"occusim/internal/wire"
 )
 
-// FuzzObsRecord throws arbitrary bytes at the binary observation
-// record decoder. The WAL frame checksum already screens disk
-// corruption, so everything reaching this decoder claims to be a
-// record — the decoder must still never panic, never allocate from a
-// hostile count, and anything it accepts must be a fixed point of the
-// codec: re-encoding the decoded record and decoding again yields
+// FuzzObsRecord throws arbitrary bytes at the observation record
+// decoder. The WAL frame checksum already screens disk corruption, so
+// everything reaching this decoder claims to be a record — the decoder
+// must still never panic, never allocate from a hostile count or
+// length, and anything it accepts must be a fixed point of the codec:
+// re-encoding the decoded record and decoding again yields
 // byte-identical canonical bytes.
 func FuzzObsRecord(f *testing.F) {
 	id := ibeacon.BeaconID{UUID: ibeacon.MustUUID("B9407F30-F5F8-466E-AFF9-25556B57FE6D"), Major: 7, Minor: 1024}
-	real := appendObsBinary(nil, []store.Observation{
-		{Device: "phone-01", At: 90 * time.Second, Epoch: 3, Seq: 12, Beacons: []store.BeaconDistance{
-			{ID: id, Distance: 1.25, RSSI: -62},
-			{ID: id, Distance: math.Inf(1), RSSI: math.NaN()},
-		}},
-		{Device: "téléphone-→", At: 0},
-	}, []string{"kitchen", ""})
+	wb := new(wire.Batch)
+	wb.AddReport("phone-01", 90, 3, 12)
+	wb.AddBeacon(wire.Beacon{ID: id, Distance: 1.25, RSSI: -62})
+	wb.AddBeacon(wire.Beacon{ID: id, Distance: math.Inf(1), RSSI: math.NaN()})
+	wb.AddReport("téléphone-→", 0, 0, 0)
+	real := appendObsRecord(nil, wb, 0, wb.Len(), []string{"kitchen", ""})
 	f.Add(real)
-	f.Add(appendObsBinary(nil, nil, nil))
+	f.Add(appendObsRecord(nil, wb, 0, 0, nil))
 	f.Add(real[:len(real)/2])
-	f.Add([]byte{binObsTag})
-	// Regression: a beacon count of 2^62 made int(bn)*beaconWire wrap
-	// to zero, slipping past the length check into a panicking make.
-	overflow := []byte{binObsTag, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00} // 1 obs, empty fields
-	overflow = binary.AppendUvarint(overflow, 1<<62)
-	f.Add(overflow)
+	f.Add([]byte{obsTag})
+	// A room length of 2^62 after a valid one-report payload: the bound
+	// must be checked before the slice arithmetic, which would wrap.
+	hugeRoom := appendObsRecord(nil, wb, 1, 2, []string{"kitchen", ""})
+	hugeRoom = binary.AppendUvarint(hugeRoom[:len(hugeRoom)-1], 1<<62)
+	f.Add(hugeRoom)
+	// A payload declaring 2^32-1 reports, which would size the rooms.
+	f.Add([]byte{obsTag, 4, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	// A payload declaring 2^62 beacons for its one report.
+	hugeBeacons := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0} // 1 report, empty fields
+	hugeBeacons = binary.AppendUvarint(hugeBeacons, 1<<62)
+	rec := binary.LittleEndian.AppendUint32([]byte{obsTag}, uint32(len(hugeBeacons)))
+	f.Add(append(rec, hugeBeacons...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		// The replay dispatcher only routes tagged payloads here.
-		data[0] = binObsTag
-		obs, rooms, err := decodeObsBinary(data)
+		data[0] = obsTag
+		var b wire.Batch
+		rooms, err := decodeObsRecord(data, &b)
 		if err != nil {
 			return
 		}
-		if len(obs) != len(rooms) {
-			t.Fatalf("decoded %d observations but %d rooms", len(obs), len(rooms))
+		if len(rooms) != b.Len() {
+			t.Fatalf("decoded %d reports but %d rooms", b.Len(), len(rooms))
 		}
-		canon := appendObsBinary(nil, obs, rooms)
-		obs2, rooms2, err := decodeObsBinary(canon)
+		canon := appendObsRecord(nil, &b, 0, b.Len(), rooms)
+		var b2 wire.Batch
+		rooms2, err := decodeObsRecord(canon, &b2)
 		if err != nil {
 			t.Fatalf("re-decoding the canonical encoding: %v", err)
 		}
-		if again := appendObsBinary(nil, obs2, rooms2); !bytes.Equal(canon, again) {
+		if again := appendObsRecord(nil, &b2, 0, b2.Len(), rooms2); !bytes.Equal(canon, again) {
 			t.Fatalf("codec is not a fixed point:\n canon: %x\n again: %x", canon, again)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"occusim/internal/ibeacon"
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 func openDurable(t *testing.T, dir string, policy store.FsyncPolicy) (*Server, *building.Building) {
@@ -119,7 +120,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 	s1, b := openDurable(t, dir, store.FsyncOff)
 	trainServer(t, s1, b)
 	for i := 0; i < 6; i++ {
-		if _, err := s1.Ingest(sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
+		if _, err := ingestOne(s1, sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -130,7 +131,7 @@ func TestDurableCompactionPreservesState(t *testing.T) {
 		t.Fatalf("wal size after compact = %d", s1.WALSize())
 	}
 	for i := 6; i < 12; i++ {
-		if _, err := s1.Ingest(sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
+		if _, err := ingestOne(s1, sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,10 +150,10 @@ func TestDurableDeviceLifecycleReplays(t *testing.T) {
 	dir := t.TempDir()
 	s1, b := openDurable(t, dir, store.FsyncOff)
 	for i := 0; i < 3; i++ {
-		if _, err := s1.Ingest(sequenced(reportNear(b, "mover", 0, float64(i)), uint64(i+1))); err != nil {
+		if _, err := ingestOne(s1, sequenced(reportNear(b, "mover", 0, float64(i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s1.Ingest(sequenced(reportNear(b, "sleeper", 1, float64(i)), uint64(i+1))); err != nil {
+		if _, err := ingestOne(s1, sequenced(reportNear(b, "sleeper", 1, float64(i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,7 +187,7 @@ func TestDurableGracefulClose(t *testing.T) {
 	dir := t.TempDir()
 	s1, b := openDurable(t, dir, store.FsyncBatch)
 	for i := 0; i < 5; i++ {
-		if _, err := s1.Ingest(sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
+		if _, err := ingestOne(s1, sequenced(reportNear(b, "phone", i%len(b.Beacons), float64(i)), uint64(i+1))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -201,60 +202,63 @@ func TestDurableGracefulClose(t *testing.T) {
 	}
 }
 
-// TestBinaryObsRecordRoundtrip pins the binary observation record
-// codec on its edge cases: empty beacon sets, empty rooms, zero
-// freshness marks, non-ASCII device names, and non-finite distances
-// (representable in binary, unlike JSON).
+// TestBinaryObsRecordRoundtrip pins the observation record codec on
+// its edge cases: empty beacon sets, empty rooms, zero freshness marks,
+// non-ASCII and empty device names, non-finite distances (representable
+// in binary, unlike JSON), a sub-range of the batch, and every
+// truncation.
 func TestBinaryObsRecordRoundtrip(t *testing.T) {
 	id := ibeacon.BeaconID{UUID: ibeacon.MustUUID("B9407F30-F5F8-466E-AFF9-25556B57FE6D"), Major: 1, Minor: 65535}
-	obs := []store.Observation{
-		{Device: "phone", At: 90 * time.Second, Epoch: 3, Seq: 12, Beacons: []store.BeaconDistance{
-			{ID: id, Distance: 1.25, RSSI: -62},
-			{ID: id, Distance: math.Inf(1), RSSI: math.NaN()},
-		}},
-		{Device: "téléphone-→", At: 0, Epoch: 0, Seq: 0},
-		{Device: "", At: 1, Seq: 7, Beacons: []store.BeaconDistance{{ID: id, Distance: 0}}},
-	}
-	rooms := []string{"kitchen", "", "living room"}
+	b := new(wire.Batch)
+	b.AddReport("skipped", 1, 1, 1)
+	b.AddReport("phone", 90, 3, 12)
+	b.AddBeacon(wire.Beacon{ID: id, Distance: 1.25, RSSI: -62})
+	b.AddBeacon(wire.Beacon{ID: id, Distance: math.Inf(1), RSSI: math.NaN()})
+	b.AddReport("téléphone-→", 0, 0, 0)
+	b.AddReport("", 1e-9, 0, 7)
+	b.AddBeacon(wire.Beacon{ID: id, Distance: math.Inf(-1)})
+	rooms := []string{"hallway", "kitchen", "", "living room"}
 
-	payload := appendObsBinary(nil, obs, rooms)
-	if payload[0] != binObsTag {
-		t.Fatalf("record starts with %#02x, want the binary tag", payload[0])
+	const from = 1
+	rec := appendObsRecord(nil, b, from, b.Len(), rooms)
+	if rec[0] != obsTag {
+		t.Fatalf("record starts with %#02x, want the observation tag", rec[0])
 	}
-	got, gotRooms, err := decodeObsBinary(payload)
+	got := new(wire.Batch)
+	gotRooms, err := decodeObsRecord(rec, got)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(obs) || len(gotRooms) != len(rooms) {
-		t.Fatalf("decoded %d obs / %d rooms, want %d / %d", len(got), len(gotRooms), len(obs), len(rooms))
+	if got.Len() != b.Len()-from || len(gotRooms) != got.Len() {
+		t.Fatalf("decoded %d reports / %d rooms, want %d", got.Len(), len(gotRooms), b.Len()-from)
 	}
-	for i := range obs {
-		if gotRooms[i] != rooms[i] {
-			t.Errorf("obs %d: room %q, want %q", i, gotRooms[i], rooms[i])
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	for i := 0; i < got.Len(); i++ {
+		w := i + from
+		if gotRooms[i] != rooms[w] {
+			t.Errorf("report %d: room %q, want %q", i, gotRooms[i], rooms[w])
 		}
-		a, b := got[i], obs[i]
-		if a.Device != b.Device || a.At != b.At || a.Epoch != b.Epoch || a.Seq != b.Seq || len(a.Beacons) != len(b.Beacons) {
-			t.Errorf("obs %d: decoded %+v, want %+v", i, a, b)
+		if got.Devices[i] != b.Devices[w] || !same(got.At[i], b.At[w]) ||
+			got.Epoch[i] != b.Epoch[w] || got.Seq[i] != b.Seq[w] {
+			t.Errorf("report %d: decoded (%q %v %d %d), want (%q %v %d %d)", i,
+				got.Devices[i], got.At[i], got.Epoch[i], got.Seq[i], b.Devices[w], b.At[w], b.Epoch[w], b.Seq[w])
+		}
+		gs, ws := got.ReportBeacons(i), b.ReportBeacons(w)
+		if len(gs) != len(ws) {
+			t.Errorf("report %d: %d beacons, want %d", i, len(gs), len(ws))
 			continue
 		}
-		for k := range b.Beacons {
-			x, y := a.Beacons[k], b.Beacons[k]
-			same := x.ID == y.ID &&
-				math.Float64bits(x.Distance) == math.Float64bits(y.Distance) &&
-				math.Float64bits(x.RSSI) == math.Float64bits(y.RSSI)
-			if !same {
-				t.Errorf("obs %d beacon %d: decoded %+v, want %+v", i, k, x, y)
+		for k := range ws {
+			if gs[k].ID != ws[k].ID || !same(gs[k].Distance, ws[k].Distance) || !same(gs[k].RSSI, ws[k].RSSI) {
+				t.Errorf("report %d beacon %d: decoded %+v, want %+v", i, k, gs[k], ws[k])
 			}
 		}
 	}
 
 	// Every truncation of a valid record must error, never panic.
-	for cut := 1; cut < len(payload); cut++ {
-		if _, _, err := decodeObsBinary(payload[:cut]); err == nil && cut < len(payload) {
-			// Some cuts can land on a valid shorter record only if the
-			// leading count were smaller; with a fixed count they must
-			// all fail.
-			t.Fatalf("truncated record (%d of %d bytes) decoded without error", cut, len(payload))
+	for cut := 0; cut < len(rec); cut++ {
+		if _, err := decodeObsRecord(rec[:cut], new(wire.Batch)); err == nil {
+			t.Fatalf("truncated record (%d of %d bytes) decoded without error", cut, len(rec))
 		}
 	}
 }

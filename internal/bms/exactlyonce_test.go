@@ -27,12 +27,12 @@ func seqReport(b *building.Building, device string, beaconIdx int, atSeconds flo
 func TestIngestDedupsRetransmission(t *testing.T) {
 	s, b := newTestServer(t)
 	rep := seqReport(b, "p", 0, 1, 1)
-	room1, err := s.Ingest(rep)
+	room1, err := ingestOne(s, rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := len(s.Events())
-	room2, err := s.Ingest(rep) // lost ack, client retransmits
+	room2, err := ingestOne(s, rep) // lost ack, client retransmits
 	if err != nil {
 		t.Fatalf("retransmission must be acknowledged, got %v", err)
 	}
@@ -87,7 +87,7 @@ func TestIngestBatchDebounceNotDoubleAdvanced(t *testing.T) {
 func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 	s1, b := newTestServer(t)
 	for i := uint64(1); i <= 3; i++ {
-		if _, err := s1.Ingest(seqReport(b, "p", 0, float64(i), i)); err != nil {
+		if _, err := ingestOne(s1, seqReport(b, "p", 0, float64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -121,7 +121,7 @@ func TestEvictInstallDeviceRoundTrip(t *testing.T) {
 	// The mark travelled: the in-flight retransmission of seq 3 is a
 	// no-op on the new owner.
 	evs := len(s2.Events())
-	if _, err := s2.Ingest(seqReport(b, "p", 0, 3, 3)); err != nil {
+	if _, err := ingestOne(s2, seqReport(b, "p", 0, 3, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s2.Events()); got != evs {
@@ -140,7 +140,7 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 
-	if _, err := s1.Ingest(seqReport(b, "p", 0, 1, 1)); err != nil {
+	if _, err := ingestOne(s1, seqReport(b, "p", 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -222,7 +222,7 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	// Expiry must NOT reopen the dedup window: a late retransmission of
 	// the committed seq-1 report stays a no-op.
 	events := len(s2.Events())
-	if _, err := s2.Ingest(seqReport(b, "p", 0, 1, 1)); err != nil {
+	if _, err := ingestOne(s2, seqReport(b, "p", 0, 1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(s2.Events()); got != events {
@@ -234,7 +234,7 @@ func TestDeviceMigrationEndpoints(t *testing.T) {
 	// A genuine device restart re-enters through an epoch bump.
 	rep := seqReport(b, "p", 0, 100, 1)
 	rep.Epoch = 1
-	if _, err := s2.Ingest(rep); err != nil {
+	if _, err := ingestOne(s2, rep); err != nil {
 		t.Fatal(err)
 	}
 	if occ := s2.Occupancy(); len(occ.Devices) != 1 {

@@ -211,22 +211,7 @@ func (s *Server) installLease(epoch uint64, holder string) {
 // The fleet's shard clients stamp every write with their gateway's
 // leadership epoch; these variants check the fence first and then run
 // the unfenced path. Epoch zero degenerates to the plain methods.
-
-// IngestFenced is Ingest behind the leadership fence.
-func (s *Server) IngestFenced(gwEpoch uint64, r transport.Report) (string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return "", err
-	}
-	return s.Ingest(r)
-}
-
-// IngestBatchFenced is IngestBatch behind the leadership fence.
-func (s *Server) IngestBatchFenced(gwEpoch uint64, reports []transport.Report) ([]string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return nil, err
-	}
-	return s.IngestBatch(reports)
-}
+// Ingest is fenced inside apply instead (see Apply).
 
 // EvictDeviceFenced is EvictDevice behind the leadership fence — a
 // deposed gateway must not be able to rip device state out of a shard

@@ -10,6 +10,7 @@ import (
 
 	"occusim/internal/store"
 	"occusim/internal/transport"
+	"occusim/internal/wire"
 )
 
 func TestGrantLeaseRules(t *testing.T) {
@@ -61,7 +62,7 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	}
 
 	rep := reportNear(b, "phone", 0, 1)
-	if _, err := s.IngestFenced(1, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestAt(s, 1, rep); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale ingest: err=%v", err)
 	}
 	if _, _, err := s.EvictDeviceFenced(1, "phone"); !errors.Is(err, ErrStaleLeader) {
@@ -73,8 +74,12 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 	if _, err := s.ExpireBeforeFenced(1, 0); !errors.Is(err, ErrStaleLeader) {
 		t.Fatalf("stale expire: err=%v", err)
 	}
-	if _, err := s.IngestBatchFenced(1, []transport.Report{rep}); !errors.Is(err, ErrStaleLeader) {
-		t.Fatalf("stale batch: err=%v", err)
+	wb := new(wire.Batch)
+	if err := transport.EncodeReports(wb, []transport.Report{rep}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Apply(1, wb); !errors.Is(err, ErrStaleLeader) {
+		t.Fatalf("stale binary batch: err=%v", err)
 	}
 	if snap := s.Occupancy(); len(snap.Devices) != 0 {
 		t.Fatalf("fenced writes mutated state: %+v", snap)
@@ -82,23 +87,23 @@ func TestFencedWritesRejectStaleEpoch(t *testing.T) {
 
 	// Epoch 0 stays unfenced (legacy single-server clients), and the
 	// granted epoch itself is admitted.
-	if _, err := s.IngestFenced(0, rep); err != nil {
+	if _, err := ingestAt(s, 0, rep); err != nil {
 		t.Fatalf("unfenced ingest: %v", err)
 	}
-	if _, err := s.IngestFenced(2, reportNear(b, "phone", 1, 2)); err != nil {
+	if _, err := ingestAt(s, 2, reportNear(b, "phone", 1, 2)); err != nil {
 		t.Fatalf("current-epoch ingest: %v", err)
 	}
 
 	// A write above the grant is proof of newer leadership: the grant
 	// advances (fencing is monotone on every shard, not just the claim
 	// quorum), with the holder unknown until an explicit claim.
-	if _, err := s.IngestFenced(5, reportNear(b, "phone", 2, 3)); err != nil {
+	if _, err := ingestAt(s, 5, reportNear(b, "phone", 2, 3)); err != nil {
 		t.Fatalf("higher-epoch ingest: %v", err)
 	}
 	if epoch, holder := s.GrantedLease(); epoch != 5 || holder != "" {
 		t.Fatalf("grant after write-implied advance = %d/%q", epoch, holder)
 	}
-	if _, err := s.IngestFenced(2, rep); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestAt(s, 2, rep); !errors.Is(err, ErrStaleLeader) {
 		t.Fatal("old epoch must be fenced after write-implied advance")
 	}
 }
@@ -118,13 +123,13 @@ func TestLeaseSurvivesKillAndCompaction(t *testing.T) {
 	if epoch, holder := s2.GrantedLease(); epoch != 7 || holder != "http://gwA" {
 		t.Fatalf("grant after kill = %d/%q", epoch, holder)
 	}
-	if _, err := s2.IngestFenced(6, reportNear(b, "phone", 0, 1)); !errors.Is(err, ErrStaleLeader) {
+	if _, err := ingestAt(s2, 6, reportNear(b, "phone", 0, 1)); !errors.Is(err, ErrStaleLeader) {
 		t.Fatal("recovered shard must still fence deposed epochs")
 	}
 
 	// Write-implied advance, then compaction: the grant must ride the
 	// snapshot, not just the (now truncated) log.
-	if _, err := s2.IngestFenced(9, reportNear(b, "phone", 0, 2)); err != nil {
+	if _, err := ingestAt(s2, 9, reportNear(b, "phone", 0, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s2.Close(); err != nil {

@@ -62,9 +62,8 @@ type Server struct {
 	dur *durability
 
 	// gate bounds concurrent ingest admissions; nil (the default) admits
-	// everything. Both the in-process Ingest/IngestBatch entry points
-	// and the HTTP handlers pass through it, so a LocalShard fleet sheds
-	// exactly like an HTTP one. See SetAdmission.
+	// everything. Every ingest face passes through it in apply, so a
+	// LocalShard fleet sheds exactly like an HTTP one. See SetAdmission.
 	gate *overload.Gate
 
 	// met is the telemetry handle bundle (nil until Instrument): ingest
@@ -145,103 +144,74 @@ func (s *Server) classifierSnapshot() classify.Classifier {
 	return s.classifier
 }
 
-// buildObservation converts one wire report into the store form plus the
-// classification sample. dists becomes the sample's distance map; pass a
-// cleared scratch map to avoid the per-report allocation on batch paths.
-func (s *Server) buildObservation(r transport.Report, dists map[ibeacon.BeaconID]float64) (store.Observation, fingerprint.Sample, error) {
-	if r.Device == "" {
-		return store.Observation{}, fingerprint.Sample{}, fmt.Errorf("bms: report without device")
-	}
-	at := time.Duration(r.AtSeconds * float64(time.Second))
-	obs := store.Observation{Device: r.Device, At: at, Epoch: r.Epoch, Seq: r.Seq}
-	if len(r.Beacons) > 0 {
-		obs.Beacons = make([]store.BeaconDistance, 0, len(r.Beacons))
-	}
-	for _, b := range r.Beacons {
-		id, err := s.parseBeaconID(b.ID)
-		if err != nil {
-			return store.Observation{}, fingerprint.Sample{}, fmt.Errorf("bms: %w", err)
-		}
-		obs.Beacons = append(obs.Beacons, store.BeaconDistance{ID: id, Distance: b.Distance, RSSI: b.RSSI})
-		dists[id] = b.Distance
-	}
-	sample := fingerprint.Sample{
-		Room:      "", // unknown; this is what we predict
-		At:        at,
-		Distances: dists,
-	}
-	return obs, sample, nil
-}
-
-// Ingest processes one report exactly as the POST /api/v1/observations
-// endpoint does: store, classify, update occupancy. It returns the
-// predicted room. Exposed for in-process (non-HTTP) wiring in the
-// simulator.
-//
-// A sequenced report at or below the device's high-water mark (a
-// retransmission of something already committed) is acknowledged as a
-// no-op: the room is still predicted and returned — prediction is a
-// pure function of the immutable model, so the answer matches the
-// original delivery — but neither store nor tracker advance, which is
-// what makes retrying transports exactly-once.
-func (s *Server) Ingest(r transport.Report) (string, error) {
-	sm := s.met
-	var start time.Time
-	if sm != nil {
-		start = time.Now()
-	}
-	release, err := s.gate.Acquire()
-	if err != nil {
-		return "", err
-	}
-	defer release()
-	obs, sample, err := s.buildObservation(r, make(map[ibeacon.BeaconID]float64, len(r.Beacons)))
-	if err != nil {
-		return "", err
-	}
-	// Predict before storing: prediction is pure, and a durable server
-	// must log the report with its room before any state moves.
-	room := s.classifierSnapshot().Predict(sample)
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		if err := s.logObservations([]store.Observation{obs}, []string{room}); err != nil {
-			return "", err
-		}
-		defer s.maybeCompact()
-	}
-	fresh, err := s.st.AddObservation(obs)
-	if err != nil {
-		return "", err
-	}
-	if fresh {
-		s.tracker.Observe(obs.At, r.Device, room)
-	}
-	if sm != nil {
-		sm.reports.Inc()
-		if !fresh {
-			sm.dedupDrops.Inc()
-		}
-		sm.ingestLatency.Since(start)
-	}
-	return room, nil
-}
-
-// IngestBatch processes many reports in one pass: the whole batch is
-// validated and parsed first (a malformed report rejects the batch
-// before anything is stored), observations land in the store with one
-// stripe-lock acquisition per run of same-device reports, every sample
-// is classified against one immutable model snapshot, and tracker
-// transitions apply shard by shard. It returns the predicted room per
-// report, in order.
-//
-// Reports of one device must be ordered by time within the batch (the
-// coalescing uplink preserves send order); different devices may
-// interleave freely. Sequenced reports the store has already committed
-// are deduplicated (see Ingest), so a whole-batch retransmission after
-// a partial failure re-applies only the part that never landed.
+// IngestBatch processes reports through the shard's one ingest path,
+// unfenced, and returns the predicted room per report, in order (see
+// apply for validation, ordering and dedup). The reports fill a pooled
+// wire.Batch through the beacon-id intern cache, so in-process callers
+// reach the same code the binary face decodes into.
 func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
-	if len(reports) == 0 {
+	return s.ingestReports(0, reports)
+}
+
+// ingestReports fills a pooled batch from reports and applies it under
+// gwEpoch — IngestBatch and the JSON HTTP faces.
+func (s *Server) ingestReports(gwEpoch uint64, reports []transport.Report) ([]string, error) {
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := s.AppendReports(b, reports); err != nil {
+		return nil, err
+	}
+	return s.apply(gwEpoch, b, nil)
+}
+
+// AppendReports appends reports to b, parsing beacon identities
+// through the server's intern cache. A malformed identity fails the
+// whole batch.
+func (s *Server) AppendReports(b *wire.Batch, reports []transport.Report) error {
+	for i := range reports {
+		r := &reports[i]
+		b.AddReport(r.Device, r.AtSeconds, r.Epoch, r.Seq)
+		for _, br := range r.Beacons {
+			id, err := s.parseBeaconID(br.ID)
+			if err != nil {
+				return fmt.Errorf("bms: batch report %d: %w", i, err)
+			}
+			b.AddBeacon(wire.Beacon{ID: id, Distance: br.Distance, RSSI: br.RSSI})
+		}
+	}
+	return nil
+}
+
+// Apply ingests a batch behind the leadership fence: gwEpoch is the
+// writing gateway's epoch (zero is unfenced). It returns the predicted
+// room per report, in batch order; b is not retained.
+func (s *Server) Apply(gwEpoch uint64, b *wire.Batch) ([]string, error) {
+	return s.apply(gwEpoch, b, nil)
+}
+
+// apply is the shard's only ingest path. Every face reaches it: the
+// binary handler and fleet frames decode into a wire.Batch, the JSON
+// faces fill one, and WAL replay decodes logged records into one and
+// passes the rooms logged with them (logged != nil), which are applied
+// instead of predicted.
+//
+// The steps run in order: leadership fence, admission, validation (a
+// malformed report rejects the whole batch before anything moves),
+// classification against one immutable model snapshot, log-then-apply,
+// (Epoch, Seq) dedup in the store, tracker, metrics.
+//
+// Reports of one device must be ordered by time within the batch;
+// devices may interleave freely. A sequenced report the store has
+// already committed is acknowledged with its predicted room —
+// prediction is a pure function of the immutable model, so the answer
+// matches the original delivery — but advances neither store nor
+// tracker, which is what makes retrying transports exactly-once.
+func (s *Server) apply(gwEpoch uint64, b *wire.Batch, logged []string) ([]string, error) {
+	if err := s.admitEpoch(gwEpoch); err != nil {
+		return nil, err
+	}
+	n := b.Len()
+	if n == 0 {
 		return nil, nil
 	}
 	sm := s.met
@@ -254,23 +224,39 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		return nil, err
 	}
 	defer release()
-	obs := make([]store.Observation, len(reports))
-	// One scratch distance map serves the whole batch: each sample is
-	// classified before the map is cleared for the next report.
-	dists := make(map[ibeacon.BeaconID]float64, 8)
-	cls := s.classifierSnapshot()
-	rooms := make([]string, len(reports))
-	track := make([]occupancy.Classification, len(reports))
 
-	for i, r := range reports {
-		clear(dists)
-		o, sample, err := s.buildObservation(r, dists)
+	obs := make([]store.Observation, n)
+	for i := range obs {
+		if b.Devices[i] == "" {
+			return nil, fmt.Errorf("bms: batch report %d: report without device", i)
+		}
+		at, err := transport.ReportTime(b.At[i])
 		if err != nil {
 			return nil, fmt.Errorf("bms: batch report %d: %w", i, err)
 		}
+		o := store.Observation{Device: b.Devices[i], At: at, Epoch: b.Epoch[i], Seq: b.Seq[i]}
+		if span := b.ReportBeacons(i); len(span) > 0 {
+			o.Beacons = make([]store.BeaconDistance, len(span))
+			for k, bc := range span {
+				o.Beacons[k] = store.BeaconDistance{ID: bc.ID, Distance: bc.Distance, RSSI: bc.RSSI}
+			}
+		}
 		obs[i] = o
-		rooms[i] = cls.Predict(sample)
-		track[i] = occupancy.Classification{At: o.At, Device: o.Device, Room: rooms[i]}
+	}
+	rooms := logged
+	if rooms == nil {
+		rooms = make([]string, n)
+		cls := s.classifierSnapshot()
+		// One scratch distance map serves the whole batch: each sample
+		// is classified before the map is cleared for the next report.
+		dists := make(map[ibeacon.BeaconID]float64, 8)
+		for i := range obs {
+			clear(dists)
+			for _, bd := range obs[i].Beacons {
+				dists[bd.ID] = bd.Distance
+			}
+			rooms[i] = cls.Predict(fingerprint.Sample{At: obs[i].At, Distances: dists})
+		}
 	}
 	if s.dur != nil {
 		// Log-then-apply: the whole batch (dups included — replay
@@ -279,29 +265,26 @@ func (s *Server) IngestBatch(reports []transport.Report) ([]string, error) {
 		// compaction cannot snapshot between the append and the apply.
 		end := s.dur.wal.Begin()
 		defer end()
-		if err := s.logObservations(obs, rooms); err != nil {
+		if err := s.logObservations(b, rooms); err != nil {
 			return nil, err
 		}
 		defer s.maybeCompact()
 	}
-	// The store decides freshness against each device's high-water mark;
-	// stale retransmissions keep their predicted room in the response
-	// (positional contract) but advance neither store nor tracker.
 	fresh, err := s.st.AddObservationBatch(obs)
 	if err != nil {
 		return nil, err
 	}
-	live := track[:0]
-	for i := range track {
+	live := make([]occupancy.Classification, 0, n)
+	for i := range obs {
 		if fresh[i] {
-			live = append(live, track[i])
+			live = append(live, occupancy.Classification{At: obs[i].At, Device: obs[i].Device, Room: rooms[i]})
 		}
 	}
 	s.tracker.ObserveBatch(live)
 	if sm != nil {
-		sm.reports.Add(uint64(len(reports)))
-		sm.batchSize.Observe(int64(len(reports)))
-		sm.dedupDrops.Add(uint64(len(reports) - len(live)))
+		sm.reports.Add(uint64(n))
+		sm.batchSize.Observe(int64(n))
+		sm.dedupDrops.Add(uint64(n - len(live)))
 		sm.ingestLatency.Since(start)
 	}
 	return rooms, nil
@@ -317,9 +300,9 @@ type DirectUplink struct{ Server *Server }
 // Name implements transport.Uplink.
 func (u DirectUplink) Name() string { return "bms-direct" }
 
-// Send implements transport.Uplink.
+// Send implements transport.Uplink as a batch of one.
 func (u DirectUplink) Send(r transport.Report) error {
-	_, err := u.Server.Ingest(r)
+	_, err := u.Server.IngestBatch([]transport.Report{r})
 	return err
 }
 
@@ -804,17 +787,17 @@ func (s *Server) handleEnergy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleObservation(w http.ResponseWriter, r *http.Request) {
-	var rep transport.Report
-	if err := decodeJSON(r.Body, &rep); err != nil {
+	var rep [1]transport.Report
+	if err := decodeJSON(r.Body, &rep[0]); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	room, err := s.IngestFenced(gatewayEpochFrom(r), rep)
+	rooms, err := s.ingestReports(gatewayEpochFrom(r), rep[:])
 	if err != nil {
 		writeIngestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"room": room})
+	writeJSON(w, http.StatusOK, map[string]string{"room": rooms[0]})
 }
 
 // writeIngestError maps an ingest failure to its HTTP face: a shed
@@ -855,7 +838,7 @@ func (s *Server) handleObservationBatch(w http.ResponseWriter, r *http.Request) 
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode: %w", err))
 		return
 	}
-	rooms, err := s.IngestBatchFenced(gatewayEpochFrom(r), reports)
+	rooms, err := s.ingestReports(gatewayEpochFrom(r), reports)
 	if err != nil {
 		writeIngestError(w, err)
 		return

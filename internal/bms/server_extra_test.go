@@ -12,10 +12,10 @@ func TestEventsEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if _, err := s.Ingest(reportNear(b, "p", 0, 1)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 0, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(reportNear(b, "p", 1, 5)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 1, 5)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -92,10 +92,10 @@ func TestEnergyEndpoint(t *testing.T) {
 	resp.Body.Close()
 
 	// Build some occupancy: kitchen for an hour of simulated time.
-	if _, err := s.Ingest(reportNear(b, "p", 0, 0)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Ingest(reportNear(b, "p", 0, 3600)); err != nil {
+	if _, err := ingestOne(s, reportNear(b, "p", 0, 3600)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,7 +13,7 @@ import (
 type serverMetrics struct {
 	reg *obs.Metrics
 
-	ingestLatency *obs.Histogram // whole Ingest/IngestBatch call, admission to ack
+	ingestLatency *obs.Histogram // whole apply call, admission to ack
 	batchSize     *obs.Histogram // reports per ingested batch
 	reports       *obs.Counter   // reports accepted (dups included)
 	dedupDrops    *obs.Counter   // retransmitted reports the seq marks absorbed

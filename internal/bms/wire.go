@@ -1,108 +1,20 @@
-// Binary ingest face: the wire-codec batch path. A decoded wire.Batch
-// carries beacon identities in their binary form already, so ingest
-// skips both the []transport.Report materialization and the per-beacon
-// string parse — observations are built straight from the
-// struct-of-arrays batch. Semantics are identical to IngestBatch: same
-// validation, same WAL log-then-apply, same (Epoch, Seq) dedup, same
-// metrics.
+// Binary ingest face: the wire-codec branch of
+// POST /api/v1/observations:batch. The frame decodes into a pooled
+// wire.Batch — beacon identities already binary, no per-beacon string
+// parse — and goes straight to apply, the path every face shares.
 package bms
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
-	"occusim/internal/fingerprint"
-	"occusim/internal/ibeacon"
-	"occusim/internal/occupancy"
-	"occusim/internal/store"
 	"occusim/internal/wire"
 )
 
-// IngestWireBatch processes a decoded binary batch in one pass,
-// returning the predicted room per report in batch order. The batch's
-// report ordering contract matches IngestBatch: one device's reports
-// ordered by time, devices interleaving freely. b is not retained.
-func (s *Server) IngestWireBatch(b *wire.Batch) ([]string, error) {
-	n := b.Len()
-	if n == 0 {
-		return nil, nil
-	}
-	sm := s.met
-	var start time.Time
-	if sm != nil {
-		start = time.Now()
-	}
-	release, err := s.gate.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	obs := make([]store.Observation, n)
-	dists := make(map[ibeacon.BeaconID]float64, 8)
-	cls := s.classifierSnapshot()
-	rooms := make([]string, n)
-	track := make([]occupancy.Classification, n)
-
-	for i := 0; i < n; i++ {
-		if b.Devices[i] == "" {
-			return nil, fmt.Errorf("bms: batch report %d: bms: report without device", i)
-		}
-		at := time.Duration(b.At[i] * float64(time.Second))
-		o := store.Observation{Device: b.Devices[i], At: at, Epoch: b.Epoch[i], Seq: b.Seq[i]}
-		span := b.ReportBeacons(i)
-		if len(span) > 0 {
-			o.Beacons = make([]store.BeaconDistance, 0, len(span))
-		}
-		clear(dists)
-		for _, bc := range span {
-			o.Beacons = append(o.Beacons, store.BeaconDistance{ID: bc.ID, Distance: bc.Distance, RSSI: bc.RSSI})
-			dists[bc.ID] = bc.Distance
-		}
-		obs[i] = o
-		rooms[i] = cls.Predict(fingerprint.Sample{At: at, Distances: dists})
-		track[i] = occupancy.Classification{At: at, Device: o.Device, Room: rooms[i]}
-	}
-	if s.dur != nil {
-		end := s.dur.wal.Begin()
-		defer end()
-		if err := s.logObservations(obs, rooms); err != nil {
-			return nil, err
-		}
-		defer s.maybeCompact()
-	}
-	fresh, err := s.st.AddObservationBatch(obs)
-	if err != nil {
-		return nil, err
-	}
-	live := track[:0]
-	for i := range track {
-		if fresh[i] {
-			live = append(live, track[i])
-		}
-	}
-	s.tracker.ObserveBatch(live)
-	if sm != nil {
-		sm.reports.Add(uint64(n))
-		sm.batchSize.Observe(int64(n))
-		sm.dedupDrops.Add(uint64(n - len(live)))
-		sm.ingestLatency.Since(start)
-	}
-	return rooms, nil
-}
-
-// IngestWireBatchFenced is IngestWireBatch behind the leadership fence.
-func (s *Server) IngestWireBatchFenced(gwEpoch uint64, b *wire.Batch) ([]string, error) {
-	if err := s.admitEpoch(gwEpoch); err != nil {
-		return nil, err
-	}
-	return s.IngestWireBatch(b)
-}
-
-// handleWireObservationBatch serves the binary branch of
-// POST /api/v1/observations:batch: one wire frame, decoded into a
-// pooled batch and ingested with zero intermediate report slice.
+// handleWireObservationBatch serves the binary branch: one wire frame,
+// decoded into a pooled batch and applied with no intermediate report
+// slice.
 func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Request) {
 	buf := wire.GetBuf()
 	defer wire.PutBuf(buf)
@@ -117,7 +29,7 @@ func (s *Server) handleWireObservationBatch(w http.ResponseWriter, r *http.Reque
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode frame: %w", err))
 		return
 	}
-	rooms, err := s.IngestWireBatchFenced(gatewayEpochFrom(r), b)
+	rooms, err := s.apply(gatewayEpochFrom(r), b, nil)
 	if err != nil {
 		writeIngestError(w, err)
 		return

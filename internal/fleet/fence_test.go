@@ -85,7 +85,7 @@ func (f *fenceFixture) send(t *testing.T, r transport.Report) {
 	if _, err := f.gw.Ingest(r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ref.Ingest(r); err != nil {
+	if _, err := f.ref.IngestBatch([]transport.Report{r}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -181,7 +181,7 @@ func TestFenceBlocksIngestDuringMove(t *testing.T) {
 	close(evictGate)
 	await(t, "migration", markDone)
 	await(t, "fenced ingest", ingestDone)
-	if _, err := f.ref.Ingest(seqReport(f.b, dev, 30, 4)); err != nil {
+	if _, err := f.ref.IngestBatch([]transport.Report{seqReport(f.b, dev, 30, 4)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -251,7 +251,7 @@ func TestFenceDrainsInFlightDelivery(t *testing.T) {
 	close(batchGate)
 	await(t, "in-flight batch", batchDone)
 	await(t, "migration", markDone)
-	if _, err := f.ref.Ingest(seqReport(f.b, dev, 20, 3)); err != nil {
+	if _, err := f.ref.IngestBatch([]transport.Report{seqReport(f.b, dev, 20, 3)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -289,7 +289,7 @@ func TestRebuildRegistry(t *testing.T) {
 			if _, err := g1.Ingest(r); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := ref.Ingest(r); err != nil {
+			if _, err := ref.IngestBatch([]transport.Report{r}); err != nil {
 				t.Fatal(err)
 			}
 		}

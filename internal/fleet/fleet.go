@@ -383,42 +383,14 @@ func (g *Gateway) acquire(reports []transport.Report) (shardOf []int32, release 
 	}
 }
 
-// Ingest routes one report to its owning shard and returns the
-// predicted room. With Admission configured the call may shed (an
-// overload error the HTTP face maps to 429 + Retry-After); with a
-// breaker armed and the owner's circuit open it fails fast with
-// ErrShardTripped.
+// Ingest routes one report to its owning shard as a batch of one and
+// returns the predicted room.
 func (g *Gateway) Ingest(r transport.Report) (string, error) {
-	admit, err := g.gate.Acquire()
+	rooms, err := g.IngestBatch([]transport.Report{r})
 	if err != nil {
 		return "", err
 	}
-	defer admit()
-	batch := g.skew.correct([]transport.Report{r})
-	shardOf, release, err := g.acquire(batch)
-	if err != nil {
-		return "", err
-	}
-	defer release()
-	idx := int(shardOf[0])
-	if err := g.breakerAllow(idx); err != nil {
-		return "", err
-	}
-	gm := g.met
-	var sendStart time.Time
-	if gm != nil {
-		sendStart = time.Now()
-	}
-	room, err := g.shards[idx].Ingest(batch[0])
-	if gm != nil {
-		gm.sendLatency[idx].Since(sendStart)
-	}
-	g.breakerObserve(idx, err)
-	if err != nil {
-		return "", fmt.Errorf("fleet: shard %s: %w", g.shards[idx].Name(), err)
-	}
-	g.note(idx, 1)
-	return room, nil
+	return rooms[0], nil
 }
 
 // IngestBatch splits a mixed-device batch into per-shard sub-batches
@@ -431,6 +403,14 @@ func (g *Gateway) Ingest(r transport.Report) (string, error) {
 func (g *Gateway) IngestBatch(reports []transport.Report) ([]string, error) {
 	if len(reports) == 0 {
 		return nil, nil
+	}
+	// Report times feed the skew tracker and the TTL sweep's high-water
+	// mark before any shard validates them; one unrepresentable time
+	// would sweep every live device.
+	for i := range reports {
+		if _, err := transport.ReportTime(reports[i].AtSeconds); err != nil {
+			return nil, fmt.Errorf("fleet: batch report %d: %w", i, err)
+		}
 	}
 	admit, err := g.gate.Acquire()
 	if err != nil {

@@ -22,11 +22,6 @@ type slowShard struct {
 	gate chan struct{} // each ingest receives once before proceeding
 }
 
-func (s *slowShard) Ingest(r transport.Report) (string, error) {
-	<-s.gate
-	return s.Shard.Ingest(r)
-}
-
 func (s *slowShard) IngestBatch(reports []transport.Report) ([]string, error) {
 	<-s.gate
 	return s.Shard.IngestBatch(reports)
@@ -281,7 +276,7 @@ func TestGatewaySkewMatchesReferenceServer(t *testing.T) {
 		}
 	}
 	for _, r := range honest {
-		if _, err := single.Ingest(r); err != nil {
+		if _, err := single.IngestBatch([]transport.Report{r}); err != nil {
 			t.Fatal(err)
 		}
 	}

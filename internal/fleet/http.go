@@ -94,25 +94,6 @@ func staleLeaderFrom(err error) error {
 	return err
 }
 
-// Ingest implements Shard.
-func (h *HTTPShard) Ingest(r transport.Report) (string, error) {
-	body, err := json.Marshal(r)
-	if err != nil {
-		return "", fmt.Errorf("fleet: marshal report: %w", err)
-	}
-	payload, err := h.postWrite("/api/v1/observations", body)
-	if err != nil {
-		return "", err
-	}
-	var resp struct {
-		Room string `json:"room"`
-	}
-	if err := json.Unmarshal(payload, &resp); err != nil {
-		return "", fmt.Errorf("%w: decode ingest response: %v", ErrShardMisbehaved, err)
-	}
-	return resp.Room, nil
-}
-
 // IngestBatch implements Shard. Retries retransmit the identical
 // payload, so the shard never sees a reordered batch. Under the binary
 // codec the batch goes as one wire frame; a 415 answer downgrades this

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"time"
 
+	"occusim/internal/transport"
 	"occusim/internal/wire"
 )
 
@@ -100,6 +101,11 @@ func (g *Gateway) IngestPresplit(digest string, sections []PresplitSection) ([][
 	)
 	for k := range sections {
 		n, err := wire.ScanReports(sections[k].Payload, func(device []byte, at float64, epoch, seq uint64) error {
+			// Checked before acquireNamed records maxAt, as IngestBatch
+			// checks before acquire.
+			if _, err := transport.ReportTime(at); err != nil {
+				return err
+			}
 			if at > maxAt {
 				maxAt = at
 			}

@@ -23,8 +23,6 @@ type Shard interface {
 	// Name identifies the shard; it seeds the shard's virtual nodes on
 	// the hash ring, so it must be unique and stable across restarts.
 	Name() string
-	// Ingest processes one report and returns the predicted room.
-	Ingest(transport.Report) (string, error)
 	// IngestBatch processes many reports (per-device order preserved)
 	// and returns the predicted room per report, in order.
 	IngestBatch([]transport.Report) ([]string, error)
@@ -94,27 +92,29 @@ func (l *LocalShard) Server() *bms.Server { return l.srv }
 // Name implements Shard.
 func (l *LocalShard) Name() string { return l.name }
 
-// Ingest implements Shard.
-func (l *LocalShard) Ingest(r transport.Report) (string, error) {
-	return l.srv.IngestFenced(l.epoch.Load(), r)
-}
-
-// IngestBatch implements Shard.
+// IngestBatch implements Shard: the reports fill a pooled batch
+// through the server's beacon-id intern cache and apply under the
+// stamped epoch.
 func (l *LocalShard) IngestBatch(reports []transport.Report) ([]string, error) {
-	return l.srv.IngestBatchFenced(l.epoch.Load(), reports)
+	b := wire.GetBatch()
+	defer wire.PutBatch(b)
+	if err := l.srv.AppendReports(b, reports); err != nil {
+		return nil, err
+	}
+	return l.srv.Apply(l.epoch.Load(), b)
 }
 
 // IngestFrame implements FrameIngester: decode the forwarded frame
-// into a pooled batch and run the server's binary ingest path under
-// the stamped epoch — the in-process analogue of a shard receiving the
-// device's bytes verbatim.
+// into a pooled batch and apply it under the stamped epoch — the
+// in-process analogue of a shard receiving the device's bytes
+// verbatim.
 func (l *LocalShard) IngestFrame(frame []byte, reports int) ([]string, error) {
 	b := wire.GetBatch()
 	defer wire.PutBatch(b)
 	if err := wire.DecodeFrame(frame, b); err != nil {
 		return nil, err
 	}
-	return l.srv.IngestWireBatchFenced(l.epoch.Load(), b)
+	return l.srv.Apply(l.epoch.Load(), b)
 }
 
 // InstallModel implements Shard.

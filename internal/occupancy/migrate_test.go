@@ -160,7 +160,7 @@ func TestShardedEvictObserveRace(t *testing.T) {
 				if i%3 == 0 {
 					room = "living"
 				}
-				s.Observe(time.Duration(i)*time.Second, name, room)
+				s.ObserveBatch([]Classification{{At: time.Duration(i) * time.Second, Device: name, Room: room}})
 			}
 		}(d)
 	}

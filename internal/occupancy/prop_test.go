@@ -161,7 +161,7 @@ func TestExplicitPartitionMergeMatchesSingleTracker(t *testing.T) {
 		}
 		for _, c := range stream {
 			single.Observe(c.At, c.Device, c.Room)
-			shards[partOf(c.Device)].Observe(c.At, c.Device, c.Room)
+			shards[partOf(c.Device)].ObserveBatch([]Classification{c})
 		}
 
 		var merged []Event

@@ -55,15 +55,6 @@ func (s *Sharded) shardFor(device string) *trackerShard {
 	return &s.shards[stripe.Index(device, trackerShards)]
 }
 
-// Observe records one classification, locking only the device's stripe.
-// It returns the committed events, as Tracker.Observe does.
-func (s *Sharded) Observe(at time.Duration, device, room string) []Event {
-	sh := s.shardFor(device)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tr.Observe(at, device, room)
-}
-
 // ObserveBatch applies many classifications, taking each touched stripe
 // lock once per run of same-stripe devices. Input order is preserved
 // within a stripe, so per-device time ordering carries through. It

@@ -23,6 +23,16 @@ func mkObs(device string, at time.Duration, ids ...ibeacon.BeaconID) Observation
 	return o
 }
 
+// addObs stores one observation as a batch of one and reports
+// whether it was fresh.
+func addObs(s *Store, o Observation) (bool, error) {
+	fresh, err := s.AddObservationBatch([]Observation{o})
+	if err != nil {
+		return false, err
+	}
+	return fresh[0], nil
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0); err == nil {
 		t.Fatal("zero retention should fail")
@@ -31,10 +41,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestAddAndLatest(t *testing.T) {
 	s, _ := New(10)
-	if _, err := s.AddObservation(mkObs("p", time.Second, idA)); err != nil {
+	if _, err := addObs(s, mkObs("p", time.Second, idA)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.AddObservation(mkObs("p", 2*time.Second, idB)); err != nil {
+	if _, err := addObs(s, mkObs("p", 2*time.Second, idB)); err != nil {
 		t.Fatal(err)
 	}
 	latest, ok := s.Latest("p")
@@ -44,7 +54,7 @@ func TestAddAndLatest(t *testing.T) {
 	if _, ok := s.Latest("ghost"); ok {
 		t.Fatal("latest of unknown device")
 	}
-	if _, err := s.AddObservation(Observation{}); err == nil {
+	if _, err := addObs(s, Observation{}); err == nil {
 		t.Fatal("empty device should fail")
 	}
 }
@@ -52,7 +62,7 @@ func TestAddAndLatest(t *testing.T) {
 func TestRetentionEvictsOldest(t *testing.T) {
 	s, _ := New(3)
 	for i := 1; i <= 5; i++ {
-		_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
+		_, _ = addObs(s, mkObs("p", time.Duration(i)*time.Second))
 	}
 	h := s.History("p")
 	if len(h) != 3 {
@@ -65,8 +75,8 @@ func TestRetentionEvictsOldest(t *testing.T) {
 
 func TestDevices(t *testing.T) {
 	s, _ := New(5)
-	_, _ = s.AddObservation(mkObs("zed", time.Second))
-	_, _ = s.AddObservation(mkObs("amy", time.Second))
+	_, _ = addObs(s, mkObs("zed", time.Second))
+	_, _ = addObs(s, mkObs("amy", time.Second))
 	d := s.Devices()
 	if len(d) != 2 || d[0] != "amy" || d[1] != "zed" {
 		t.Fatalf("devices = %v", d)
@@ -100,8 +110,8 @@ func TestFingerprints(t *testing.T) {
 
 func TestBeaconOrderIsFirstSeen(t *testing.T) {
 	s, _ := New(5)
-	_, _ = s.AddObservation(mkObs("p", time.Second, idB))
-	_, _ = s.AddObservation(mkObs("p", 2*time.Second, idA, idB))
+	_, _ = addObs(s, mkObs("p", time.Second, idB))
+	_, _ = addObs(s, mkObs("p", 2*time.Second, idA, idB))
 	bs := s.Beacons()
 	if len(bs) != 2 || bs[0] != idB || bs[1] != idA {
 		t.Fatalf("beacon order = %v", bs)
@@ -133,9 +143,9 @@ func TestModelVersioning(t *testing.T) {
 func TestPruneBefore(t *testing.T) {
 	s, _ := New(10)
 	for i := 1; i <= 5; i++ {
-		_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
+		_, _ = addObs(s, mkObs("p", time.Duration(i)*time.Second))
 	}
-	_, _ = s.AddObservation(mkObs("old", time.Second))
+	_, _ = addObs(s, mkObs("old", time.Second))
 	removed := s.PruneBefore(3 * time.Second)
 	if removed != 3 { // p@1s, p@2s, old@1s
 		t.Fatalf("removed = %d", removed)
@@ -157,7 +167,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			dev := string(rune('a' + g))
 			for i := 0; i < 100; i++ {
-				_, _ = s.AddObservation(mkObs(dev, time.Duration(i)*time.Millisecond, idA))
+				_, _ = addObs(s, mkObs(dev, time.Duration(i)*time.Millisecond, idA))
 				s.Latest(dev)
 				s.Devices()
 				s.FingerprintDataset()
@@ -179,7 +189,7 @@ func TestQuickRetentionBound(t *testing.T) {
 			return false
 		}
 		for i := 0; i < int(n); i++ {
-			_, _ = s.AddObservation(mkObs("p", time.Duration(i)*time.Second))
+			_, _ = addObs(s, mkObs("p", time.Duration(i)*time.Second))
 		}
 		return len(s.History("p")) <= c
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -110,6 +111,20 @@ type Report struct {
 	Seq   uint64 `json:"seq,omitempty"`
 	// Beacons lists the currently ranged beacons.
 	Beacons []BeaconReport `json:"beacons"`
+}
+
+// ReportTime converts a report's AtSeconds onto the server's
+// time.Duration clock. NaN, ±Inf and times beyond time.Duration's
+// ±292-year range are malformed: Go leaves their float-to-int
+// conversion implementation-specific, so accepting one would store an
+// arbitrary time and replay it differently on another architecture.
+func ReportTime(atSeconds float64) (time.Duration, error) {
+	ns := atSeconds * float64(time.Second)
+	// float64(math.MaxInt64) rounds up to 2^63, hence the strict bound.
+	if !(ns >= math.MinInt64 && ns < math.MaxInt64) {
+		return 0, fmt.Errorf("report time %g s is not representable", atSeconds)
+	}
+	return time.Duration(ns), nil
 }
 
 // Sequencer stamps reports with monotonic per-device sequence numbers

@@ -9,11 +9,12 @@
 //	[5:9]  u32 CRC32-C of the payload
 //	[9:…]  payload
 //
-// The payload is one batch record in the same style as the store WAL's
-// binary observation records (PR 6): a u32 LE report count, then per
-// report a uvarint-length device name, the 8 raw bits of the float64
-// report time (NaN/Inf-safe — no text round-trip), uvarint epoch and
-// sequence stamps, a uvarint beacon count, and per beacon a fixed
+// The payload is one batch record — also the body of the bms WAL's
+// observation record, so a report is logged in the bytes it arrived
+// in: a u32 LE report count, then per report a uvarint-length device
+// name, the 8 raw bits of the float64 report time (NaN/Inf-safe — no
+// text round-trip), uvarint epoch and sequence stamps, a uvarint
+// beacon count, and per beacon a fixed
 // 36-byte record: 16-byte UUID, u16 LE major, u16 LE minor, and the
 // raw float64 bits of distance and RSSI. Beacon identities travel as
 // parsed binary, so the receiving side never re-parses the
@@ -170,10 +171,11 @@ func (b *Batch) internDevice(raw []byte) string {
 	return s
 }
 
-// AppendPayload appends the batch record (no frame header) to dst.
-func AppendPayload(dst []byte, b *Batch) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(b.Len()))
-	for i := range b.Devices {
+// AppendPayload appends the batch record (no frame header) of reports
+// [from, to) to dst; (0, b.Len()) encodes the whole batch.
+func AppendPayload(dst []byte, b *Batch, from, to int) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(to-from))
+	for i := from; i < to; i++ {
 		dev := b.Devices[i]
 		dst = binary.AppendUvarint(dst, uint64(len(dev)))
 		dst = append(dst, dev...)
@@ -197,7 +199,7 @@ func AppendPayload(dst []byte, b *Batch) []byte {
 func AppendFrame(dst []byte, b *Batch) []byte {
 	head := len(dst)
 	dst = append(dst, Version, 0, 0, 0, 0, 0, 0, 0, 0)
-	dst = AppendPayload(dst, b)
+	dst = AppendPayload(dst, b, 0, b.Len())
 	payload := dst[head+frameHeaderLen:]
 	binary.LittleEndian.PutUint32(dst[head+1:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(dst[head+5:], crc32.Checksum(payload, crcTable))

@@ -211,7 +211,7 @@ func TestScanCorruption(t *testing.T) {
 
 func TestScanReportsMatchesDecode(t *testing.T) {
 	want := sampleBatch()
-	payload := AppendPayload(nil, want)
+	payload := AppendPayload(nil, want, 0, want.Len())
 	i := 0
 	n, err := ScanReports(payload, func(device []byte, at float64, epoch, seq uint64) error {
 		if string(device) != want.Devices[i] || !sameFloat(at, want.At[i]) ||
